@@ -35,8 +35,8 @@ docs-check:
 # BENCH_serving.json: per-event serving latency over the wire — stateless
 # v1 protocol (state rebuilt per request, cache can't hit) vs the v2
 # session protocol (server-side mirror, embedding cache on), plus the
-# 16-concurrent-session benchmarks with the coalescing dispatcher on and
-# off; the "ns/event" extra metric is the comparison that matters.
+# 16-concurrent-session benchmark; the "ns/event" extra metric is the
+# comparison that matters.
 # BENCH_training.json: full training-iteration cost (inference rollouts +
 # episode replay backward) on the batched replay vs the per-decision
 # direct-tape reference; ns/op, allocs/op and the "episodes/sec" extra

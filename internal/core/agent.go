@@ -6,18 +6,17 @@
 // network, and exposes everything behind sim.Scheduler so the same agent
 // runs in training rollouts, evaluation, and the RPC scheduling service.
 //
-// Three decision paths share one arithmetic, enforced bit-identical by
+// Two decision paths share one arithmetic, enforced bit-identical by
 // tests: the tracked path (Hook set; differentiable log-probabilities for
-// REINFORCE), the inference fast path (nil Hook; fused no-grad forwards
+// REINFORCE) and the inference fast path (nil Hook; fused no-grad forwards
 // plus the incremental per-job embedding cache of cache.go, optionally
-// recording replay steps for the batched training backward in replay.go),
-// and the cross-request batched path (DecideBatch in batch.go; many
-// agents' concurrent decisions in one stacked forward, serving).
+// recording replay steps for the batched training backward in replay.go).
+// Training rollouts, evaluation and every served decision take one of them,
+// one scheduling event at a time.
 package core
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/gnn"
 	"repro/internal/nn"
@@ -126,16 +125,6 @@ type Agent struct {
 
 	rng *rand.Rand
 
-	// lineage marks the agent's parameter provenance: New allocates a fresh
-	// marker, Clone shares the receiver's, SyncFrom adopts the source's, and
-	// Load invalidates (parameters were rewritten from disk). Agents sharing
-	// a lineage hold identical parameter values as long as nothing mutates
-	// them in place (an optimizer step, a hand edit) — the precondition
-	// DecideBatch uses to coalesce decisions from different agents into one
-	// stacked forward. Serving never mutates parameters; training agents
-	// never reach DecideBatch.
-	lineage *lineageTag
-
 	// Fast-path state: the scratch arena backing one decision's tensors and
 	// the per-job embedding cache (see cache.go). Private to the agent, so
 	// concurrent agents (e.g. parallel evaluation workers holding clones)
@@ -161,7 +150,7 @@ func New(cfg Config, rng *rand.Rand) *Agent {
 		// "embedding" dimensionality is the feature dimensionality.
 		embedDim = cfg.FeatDim()
 	}
-	a := &Agent{Cfg: cfg, rng: rng, lineage: new(lineageTag)}
+	a := &Agent{Cfg: cfg, rng: rng}
 	if !cfg.NoGraphEmbedding {
 		a.GNN = gnn.New(gnn.Config{
 			FeatDim:     cfg.FeatDim(),
@@ -199,15 +188,16 @@ func (a *Agent) Clone(rng *rand.Rand) *Agent {
 	nn.CopyParams(b.Params(), a.Params())
 	b.Greedy = a.Greedy
 	b.NoCache = a.NoCache
-	b.lineage = a.lineage // identical values: clones batch with their origin
 	return b
 }
 
 // SyncFrom copies parameter values from src, which must have the same
-// architecture (typically the agent this one was cloned from).
+// architecture (typically the agent this one was cloned from). It drops the
+// embedding cache: cached embeddings were computed with the old weights,
+// and the cache key covers the job state, not the parameters.
 func (a *Agent) SyncFrom(src *Agent) {
 	nn.CopyParams(a.Params(), src.Params())
-	a.lineage = src.lineage
+	a.cache = nil
 }
 
 // Decide implements the unified scheduler contract of internal/scheduler:
@@ -241,52 +231,19 @@ func (a *Agent) SetRNG(rng *rand.Rand) { a.rng = rng }
 // Save writes the agent's parameters to a file.
 func (a *Agent) Save(path string) error { return nn.SaveParamsFile(path, a.Params()) }
 
-// Load reads parameters written by Save. It starts a fresh parameter
-// lineage: a bare file path proves nothing about the bytes behind it, so
-// the loaded agent only batches with clones taken from it afterwards.
-// Loads that *can* prove identity — the model registry, which names every
-// checkpoint by (name, version, checksum) — install the interned lineage
-// for that identity via SetLineageKey instead, so independent agents
-// loading the same checkpoint coalesce in DecideBatch.
+// Load reads parameters written by Save. Like SyncFrom, it drops the
+// embedding cache computed with the old weights.
 func (a *Agent) Load(path string) error {
 	if err := nn.LoadParamsFile(path, a.Params()); err != nil {
 		return err
 	}
-	a.lineage = new(lineageTag)
+	a.cache = nil
 	return nil
 }
 
-// internedLineages maps a checkpoint identity to its process-wide lineage
-// marker. Guarded by internMu; entries live for the process lifetime (a
-// handful per served model version — never a growth concern).
-var (
-	internMu         sync.Mutex
-	internedLineages map[string]*lineageTag
-)
-
-// SetLineageKey assigns the agent the process-wide interned lineage for
-// key. Two agents given the same key are batchable by DecideBatch, so the
-// caller must guarantee the key names the exact parameter bytes the agent
-// holds — the model registry derives it from (name, version, checksum).
-// Calling this with parameters that do not match the key's bytes would
-// batch divergent parameter sets together and corrupt decisions.
-func (a *Agent) SetLineageKey(key string) {
-	internMu.Lock()
-	defer internMu.Unlock()
-	if internedLineages == nil {
-		internedLineages = make(map[string]*lineageTag)
-	}
-	tag, ok := internedLineages[key]
-	if !ok {
-		tag = new(lineageTag)
-		internedLineages[key] = tag
-	}
-	a.lineage = tag
-}
-
-// SameLineage reports whether two agents share a parameter lineage — the
-// precondition DecideBatch uses to stack their decisions into one forward.
-func SameLineage(a, b *Agent) bool { return a.lineage == b.lineage }
+// BatchAudit is never called. It stays only because the repository
+// benchmark (perfbench/serve.go) assigns it.
+var BatchAudit func([]*Agent)
 
 // featureKeyInputs returns the only cluster-wide (non-job-local) inputs of a
 // job's feature matrix: the free-executor count, the total pool size, and
@@ -369,8 +326,7 @@ func (a *Agent) embed(s *sim.State) *gnn.Embeddings {
 
 // candidates enumerates the schedulable nodes of s — with their per-node
 // parallelism floors and (multi-resource) class masks — exactly as the
-// policy scores them. Shared by the sequential Schedule and the batched
-// DecideBatch so the two paths cannot drift.
+// policy scores them.
 func (a *Agent) candidates(s *sim.State) (cands []policy.Candidate, stages []*sim.StageState, minLimits []int, classOKs [][]bool) {
 	for ji, j := range s.Jobs {
 		for ni, st := range j.Stages {

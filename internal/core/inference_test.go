@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -131,6 +132,78 @@ func TestIncrementalEmbedBitIdentical(t *testing.T) {
 	}
 	if events < 20 {
 		t.Fatalf("probe saw only %d scheduling events", events)
+	}
+}
+
+// TestSwapDropsStaleEmbeddings rewrites an agent's parameters mid-run — by
+// SyncFrom (the serving hot-swap) and by Load — and requires every later
+// decision's embeddings to equal, bit for bit, those of a NoCache clone of
+// the new weights. The cache key covers job state, not parameters, so an
+// embedding cached before the rewrite must never be served after it.
+func TestSwapDropsStaleEmbeddings(t *testing.T) {
+	src := New(DefaultConfig(10), rand.New(rand.NewSource(111)))
+	path := filepath.Join(t.TempDir(), "src.gob")
+	if err := src.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	swaps := []struct {
+		name string
+		swap func(a *Agent) error
+	}{
+		{"SyncFrom", func(a *Agent) error { a.SyncFrom(src); return nil }},
+		{"Load", func(a *Agent) error { return a.Load(path) }},
+	}
+	for _, sw := range swaps {
+		t.Run(sw.name, func(t *testing.T) {
+			const swapAt = 15
+			agent := New(DefaultConfig(10), rand.New(rand.NewSource(11)))
+			agent.Greedy = true
+			ref := agent.Clone(rand.New(rand.NewSource(1)))
+			ref.NoCache = true
+
+			events := 0
+			probe := sim.SchedulerFunc(func(s *sim.State) *sim.Action {
+				events++
+				if events == swapAt {
+					if err := sw.swap(agent); err != nil {
+						t.Fatal(err)
+					}
+					ref = src.Clone(rand.New(rand.NewSource(1)))
+					ref.NoCache = true
+				}
+				got, want := agent.embedInference(s), ref.embedInference(s)
+				for i := range s.Jobs {
+					for k, v := range want.Nodes[i].Data {
+						if got.Nodes[i].Data[k] != v {
+							t.Fatalf("event %d job %d: node embedding differs from the NoCache reference at %d", events, i, k)
+						}
+					}
+				}
+				for k, v := range want.Jobs.Data {
+					if got.Jobs.Data[k] != v {
+						t.Fatalf("event %d: job summary differs from the NoCache reference at %d", events, k)
+					}
+				}
+				for k, v := range want.Global.Data {
+					if got.Global.Data[k] != v {
+						t.Fatalf("event %d: global summary differs from the NoCache reference at %d", events, k)
+					}
+				}
+				return agent.Schedule(s)
+			})
+
+			// A batch of jobs present from the start: most jobs outlive the
+			// swap with cache entries whose keys recur after it.
+			rng := rand.New(rand.NewSource(1))
+			jobs := workload.Batch(rng, 10)
+			res := sim.New(sim.SparkDefaults(10), jobs, probe, rng).Run()
+			if res.Unfinished != 0 || res.Deadlock {
+				t.Fatalf("probe run did not complete: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
+			}
+			if events < 2*swapAt {
+				t.Fatalf("probe saw only %d scheduling events", events)
+			}
+		})
 	}
 }
 

@@ -261,6 +261,10 @@ func TestFleetMetricsAndAdmin(t *testing.T) {
 // turns draining on its own (decima-server on SIGTERM) is noticed by the
 // router's health probe, its sessions migrate, and their next event answers
 // wrong-shard so clients reopen elsewhere.
+//
+// The test waits on the router's own view before sending anything: an event
+// is not idempotent (a Seq 1 that reached the replica before the drain was
+// seen would make a resend answer seq-gap), so it is sent exactly once.
 func TestReplicaDrainPropagates(t *testing.T) {
 	const executors = 4
 	r1 := startReplica(t, "r1", executors)
@@ -287,16 +291,25 @@ func TestReplicaDrainPropagates(t *testing.T) {
 	}
 	host.Service().SetDraining(true)
 
+	// Draining is set before the migration tombstones the session; zero
+	// sessions on the host means both have happened.
+	drained := func() bool {
+		for _, ri := range rt.Info().Replicas {
+			if ri.ID == resp.Replica {
+				return ri.Draining && ri.Sessions == 0
+			}
+		}
+		return false
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err = cli.EventRPC(&rpcsvc.EventRequest{SID: resp.SID, Seq: 1})
-		if rpcsvc.IsWrongShard(err) {
-			break
-		}
+	for !drained() {
 		if time.Now().After(deadline) {
-			t.Fatalf("drain never propagated; last event error: %v", err)
+			t.Fatal("router never saw the replica drain")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := cli.EventRPC(&rpcsvc.EventRequest{SID: resp.SID, Seq: 1}); !rpcsvc.IsWrongShard(err) {
+		t.Fatalf("event on a drained replica's session: got %v, want wrong-shard", err)
 	}
 
 	// New opens for the same key land on the other replica.

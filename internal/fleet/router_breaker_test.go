@@ -43,7 +43,6 @@ func TestRouterBreakerTripsOnOverload(t *testing.T) {
 	srv, err := rpcsvc.ListenAndServeSessions("127.0.0.1:0", rpcsvc.SessionConfig{
 		Default:     "fifo",
 		MaxInflight: 1,
-		MaxBatch:    1,
 		IdleTimeout: -1,
 		ReplicaID:   "r1",
 		New: func(name string, seed int64) (scheduler.Scheduler, error) {

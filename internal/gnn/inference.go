@@ -57,16 +57,21 @@ func (g *GNN) EmbedNodesInference(gr *Graph, s *nn.Scratch) *nn.Tensor {
 	x := g.Prep.ForwardInference(gr.Feats, s)
 	e := x
 	d := x.Cols
-	maxH := 0
-	for _, h := range gr.Heights {
+	maxH, edges := 0, 0
+	for v, h := range gr.Heights {
 		if h > maxH {
 			maxH = h
 		}
+		edges += len(gr.Children[v])
 	}
+	// Level index buffers, sized once for the whole graph and reused by
+	// every level: this runs once per embedding-cache miss, and growing
+	// fresh slices per level cost several allocations per level.
+	parents := make([]int, 0, len(gr.Heights))
+	childIdx := make([]int, 0, edges)
+	seg := make([]int, 0, edges)
 	for h := 1; h <= maxH; h++ {
-		var parents []int
-		var childIdx []int
-		var seg []int
+		parents, childIdx, seg = parents[:0], childIdx[:0], seg[:0]
 		for v, hv := range gr.Heights {
 			if hv != h {
 				continue

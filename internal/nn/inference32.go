@@ -54,7 +54,7 @@ var (
 
 // SetInference32 switches the process-wide float32 inference storage mode on
 // or off. It affects only fused no-grad forwards (MLP.ForwardInference and
-// everything built on it — GNN and policy inference, batched serving);
+// everything built on it — GNN and policy inference, serving);
 // tracked training forwards always run float64.
 func SetInference32(on bool) { inference32Enabled.Store(on) }
 

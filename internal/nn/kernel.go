@@ -4,7 +4,7 @@ package nn
 // cache-blocked inner loops shared by the tracked MatMul op (ops.go) and the
 // fused no-grad forwards (fused.go, inference32.go), plus the pooled
 // goroutine parallelism that kicks in for the tall stacked matrices the
-// training replay and batched-serving paths produce. docs/KERNELS.md
+// training replay produces. docs/KERNELS.md
 // documents the scheme; BenchmarkKernel* (kernel_bench_test.go →
 // BENCH_kernels.json) measures it.
 //

@@ -13,7 +13,7 @@ import (
 
 // kernelShapes are the matmul shapes that dominate the stack's flop budget:
 // "decision" is one event's fused policy forward (a few dozen candidate
-// rows), "batch" the coalesced serving round (16 sessions' stacked rows),
+// rows), "batch" a mid-size stack (a short replayed episode's rows),
 // "replay" the batched episode replay (every decision of an episode stacked
 // into one forward).
 var kernelShapes = []struct {

@@ -231,8 +231,8 @@ func (t *Trainer) Drain() int {
 // Publish writes the trainer's current parameters to the registry as the
 // next version of name and returns that version. The caller then loads the
 // checkpoint back (registry.Checkpoint.Install) to hot-swap serving agents
-// — the round-trip is what mints the version's interned lineage, so
-// publishes from a continuously mutating trainer can never alias.
+// — the round-trip hands serving a frozen copy of exactly the published
+// bytes, never the continuously mutating trainer agent.
 func (t *Trainer) Publish(reg *registry.Registry, name, note string) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -11,10 +11,9 @@
 // training Fig. 15a demonstrates.
 //
 // Decide builds the tracked (differentiable) graph for training;
-// DecideInference is its bit-identical no-grad fast path;
-// DecideInferenceBatch stacks many independent requests into one forward
-// per head (serving); and ReplayLoss/ReplayDecision rebuild recorded
-// decisions for the batched training backward.
+// DecideInference is its bit-identical no-grad fast path; and
+// ReplayLoss/ReplayDecision rebuild recorded decisions for the batched
+// training backward.
 package policy
 
 import (

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/nn"
 )
 
@@ -59,9 +58,6 @@ func TestPublishLoadRoundTrip(t *testing.T) {
 				t.Fatalf("param %d[%d] differs after round trip", i, j)
 			}
 		}
-	}
-	if key := ck.LineageKey(); key == "" {
-		t.Fatal("empty lineage key")
 	}
 }
 
@@ -206,51 +202,6 @@ func TestPublishBitwiseReproducible(t *testing.T) {
 	}
 	if !bytes.Equal(files[0], files[1]) {
 		t.Fatal("checkpoint bytes differ across identical publishes")
-	}
-}
-
-// TestInstallInternsLineage pins the satellite fix: two agents installing
-// the same checkpoint share one interned lineage (so replicas batch), while
-// Agent.Load from a file keeps minting fresh lineages.
-func TestInstallInternsLineage(t *testing.T) {
-	reg := openTemp(t)
-	cfg := core.DefaultConfig(3)
-	cfg.EmbedDim = 4
-	cfg.Hidden = []int{8}
-	a := core.New(cfg, rand.New(rand.NewSource(1)))
-	b := core.New(cfg, rand.New(rand.NewSource(2)))
-	if core.SameLineage(a, b) {
-		t.Fatal("fresh agents share a lineage")
-	}
-	if _, err := reg.Publish("m", a.Params(), ""); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := reg.Load(Ref{Name: "m"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Install(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Install(b); err != nil {
-		t.Fatal(err)
-	}
-	if !core.SameLineage(a, b) {
-		t.Fatal("same checkpoint installed twice did not intern one lineage")
-	}
-	// A different version is a different lineage.
-	if _, err := reg.Publish("m", b.Params(), ""); err != nil {
-		t.Fatal(err)
-	}
-	ck2, err := reg.Load(Ref{Name: "m", Version: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ck2.Install(b); err != nil {
-		t.Fatal(err)
-	}
-	if core.SameLineage(a, b) {
-		t.Fatal("different versions share a lineage")
 	}
 }
 

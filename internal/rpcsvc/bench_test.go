@@ -97,19 +97,16 @@ func BenchmarkServeSession(b *testing.B) {
 	benchServe(b, func(cli *Client) sim.Scheduler { return &SessionScheduler{Client: cli} }, srv)
 }
 
-// benchServeConcurrent drives benchConcurrency full simulations at once,
-// each over its own session (own connection, own agent clone) against one
-// server, and reports the aggregate per-event serving latency and event
-// throughput. maxBatch toggles the coalescing dispatcher: 1 reproduces the
-// pre-batching deployment (per-event decides on per-connection goroutines),
-// 0 the post-batching default.
+// BenchmarkServeSessionConcurrent drives benchConcurrency full simulations
+// at once, each over its own session (own connection, own agent clone)
+// against one server, and reports the aggregate per-event serving latency
+// and event throughput.
 const benchConcurrency = 16
 
-func benchServeConcurrent(b *testing.B, maxBatch int) {
+func BenchmarkServeSessionConcurrent(b *testing.B) {
 	base := benchAgent()
 	srv, err := ListenAndServeSessions("127.0.0.1:0", SessionConfig{
-		Default:  "decima",
-		MaxBatch: maxBatch,
+		Default: "decima",
 		New: func(name string, seed int64) (scheduler.Scheduler, error) {
 			return base.Clone(rand.New(rand.NewSource(seed))), nil
 		},
@@ -120,8 +117,7 @@ func benchServeConcurrent(b *testing.B, maxBatch int) {
 	defer srv.Close()
 
 	// A heavier in-flight job mix than the single-session benchmark: decide
-	// cost grows with jobs in system, which is exactly the regime concurrent
-	// serving (and the batcher) targets.
+	// cost grows with jobs in system, the regime concurrent serving targets.
 	jobs := workload.Batch(rand.New(rand.NewSource(7)), 20)
 	cfg := sim.SparkDefaults(benchExecutors)
 
@@ -160,15 +156,6 @@ func benchServeConcurrent(b *testing.B, maxBatch int) {
 	}
 }
 
-// BenchmarkServeSessionConcurrent measures coalesced concurrent serving:
-// 16 sessions at once, decisions batched into stacked forwards.
-func BenchmarkServeSessionConcurrent(b *testing.B) { benchServeConcurrent(b, 0) }
-
-// BenchmarkServeSessionConcurrentUnbatched is the same load with the
-// dispatcher disabled — the pre-batching serving path, for the before/after
-// comparison in BENCH_serving.json.
-func BenchmarkServeSessionConcurrentUnbatched(b *testing.B) { benchServeConcurrent(b, 1) }
-
 // BenchmarkOverload sweeps offered load past a deliberately small admission
 // bound and reports what the overload plane actually buys: "served/sec"
 // (goodput), "shed_frac" (the fraction of offered events shed at the gate)
@@ -191,7 +178,6 @@ func benchOverload(b *testing.B, workers int) {
 	srv, err := ListenAndServeSessions("127.0.0.1:0", SessionConfig{
 		Default:     "slow",
 		MaxInflight: maxInflight,
-		MaxBatch:    1,
 		IdleTimeout: -1,
 		New: func(name string, seed int64) (scheduler.Scheduler, error) {
 			// A fixed-cost decision: capacity is maxInflight/decideCost, so

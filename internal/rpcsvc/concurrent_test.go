@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/scheduler"
@@ -13,31 +12,28 @@ import (
 )
 
 // cloneFactory mints per-session clones of one sampled base agent — the
-// cmd/decima-server deployment shape, and the shared parameter lineage the
-// coalescing dispatcher batches across.
+// cmd/decima-server deployment shape.
 func cloneFactory(base *core.Agent) func(name string, seed int64) (scheduler.Scheduler, error) {
 	return func(name string, seed int64) (scheduler.Scheduler, error) {
 		return base.Clone(rand.New(rand.NewSource(seed))), nil
 	}
 }
 
-// TestBatchedServingBitIdentical drives many concurrent sampled sessions
-// through a coalescing server and compares every session's full noisy run
-// against an in-process reference using an identically seeded clone: the
-// schedules and metrics — and therefore every RNG draw along the way — must
-// match exactly, whatever batch compositions the dispatcher happened to
-// form. Run under -race (make race) this also guards the dispatcher's
-// synchronisation.
-func TestBatchedServingBitIdentical(t *testing.T) {
+// TestConcurrentServingBitIdentical drives many concurrent sampled sessions
+// through one server and compares every session's full noisy run against an
+// in-process reference using an identically seeded clone: the schedules and
+// metrics — and therefore every RNG draw along the way — must match exactly,
+// however the sessions' events interleaved. Run under -race (make race) this
+// also guards the per-session locking.
+func TestConcurrentServingBitIdentical(t *testing.T) {
 	const executors = 8
 	const sessions = 8
 	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(77)))
 	base.Greedy = false // sampled: any probability or RNG drift changes the run
 
-	srv, cli := startSessionServer(t, SessionConfig{
-		Default:  "decima",
-		New:      cloneFactory(base),
-		MaxBatch: sessions,
+	_, cli := startSessionServer(t, SessionConfig{
+		Default: "decima",
+		New:     cloneFactory(base),
 	})
 
 	// In-process references, sequentially.
@@ -78,26 +74,16 @@ func TestBatchedServingBitIdentical(t *testing.T) {
 	}
 	for k := 0; k < sessions; k++ {
 		if got[k] != want[k] {
-			t.Fatalf("session %d: batched serving diverged from in-process reference:\n%s\nvs\n%s", k, got[k], want[k])
+			t.Fatalf("session %d: concurrent serving diverged from in-process reference:\n%s\nvs\n%s", k, got[k], want[k])
 		}
 	}
-
-	st := srv.svc.batch.snapshot()
-	if st.events == 0 {
-		t.Fatal("no decisions went through the coalescing dispatcher")
-	}
-	if st.coalesced == 0 {
-		t.Fatalf("dispatcher never coalesced (%d rounds for %d events) — the test exercised nothing", st.rounds, st.events)
-	}
-	t.Logf("dispatcher: %d events in %d rounds, %d coalesced, largest batch %d", st.events, st.rounds, st.coalesced, st.largest)
 }
 
 // TestEvictionWhileBatched hammers a tiny session table with concurrent
-// decima sessions so LRU evictions race events that are parked inside the
-// coalescing dispatcher. The invariants: the bound holds, errors are only
-// the documented unknown-session kind (after which reopening works), and
-// nothing deadlocks — an eviction that hits a parked session must simply
-// wait for its in-flight decision, not cycle with the dispatcher.
+// decima sessions so LRU evictions race in-flight events. The invariants:
+// the bound holds, errors are only the documented unknown-session kind
+// (after which reopening works), and nothing deadlocks — an eviction that
+// hits a deciding session must simply wait for its in-flight decision.
 func TestEvictionWhileBatched(t *testing.T) {
 	const executors = 4
 	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(99)))
@@ -106,7 +92,6 @@ func TestEvictionWhileBatched(t *testing.T) {
 		New:         cloneFactory(base),
 		MaxSessions: 2,
 		IdleTimeout: -1,
-		MaxBatch:    8,
 	})
 
 	st := func() *sim.State {
@@ -133,7 +118,7 @@ func TestEvictionWhileBatched(t *testing.T) {
 				}
 				for e := 0; e < 3; e++ {
 					if _, err := sess.Event(st()); err != nil {
-						break // evicted while (possibly) parked: reopen next round
+						break // evicted mid-run: reopen next round
 					}
 				}
 			}
@@ -149,16 +134,15 @@ func TestEvictionWhileBatched(t *testing.T) {
 	}
 }
 
-// TestServerCloseWithParkedEvents shuts a coalescing server down while
-// clients are mid-run: every in-flight decision must be answered or fail
-// with a connection error — never hang on a dead dispatcher.
+// TestServerCloseWithParkedEvents shuts a server down while clients are
+// mid-run: every in-flight decision must be answered or fail with a
+// connection error — never hang.
 func TestServerCloseWithParkedEvents(t *testing.T) {
 	const executors = 6
 	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(5)))
 	srv, err := ListenAndServeSessions("127.0.0.1:0", SessionConfig{
-		Default:  "decima",
-		New:      cloneFactory(base),
-		MaxBatch: 8,
+		Default: "decima",
+		New:     cloneFactory(base),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,48 +170,4 @@ func TestServerCloseWithParkedEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-
-	// The stopped dispatcher must refuse politely, not deadlock.
-	if _, served := srv.svc.batch.decide(nil, nil, time.Time{}); served {
-		t.Fatal("stopped batcher served a request")
-	}
-}
-
-// TestBatcherDrainOnClose pins the shutdown contract at the batcher level:
-// requests parked before close are still served, requests after close are
-// refused (ok=false), and close is idempotent.
-func TestBatcherDrainOnClose(t *testing.T) {
-	const executors = 6
-	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(15)))
-	b := newBatcher(0, 4)
-
-	jobs := workload.Batch(rand.New(rand.NewSource(3)), 2)
-	var mu sync.Mutex
-	acted := 0
-	probe := sim.SchedulerFunc(func(s *sim.State) *sim.Action {
-		act, ok := b.decide(base, s, time.Time{})
-		if !ok {
-			act = base.Schedule(s) // post-close fallback, as session.event does
-		} else {
-			mu.Lock()
-			acted++
-			mu.Unlock()
-		}
-		return act
-	})
-	res := sim.New(sim.SparkDefaults(executors), jobs, probe, rand.New(rand.NewSource(4))).Run()
-	if res.Unfinished != 0 || res.Deadlock {
-		t.Fatalf("run incomplete: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
-	}
-	if acted == 0 {
-		t.Fatal("batcher served nothing")
-	}
-	b.close()
-	b.close() // idempotent
-	if _, ok := b.decide(base, nil, time.Time{}); ok {
-		t.Fatal("closed batcher accepted a request")
-	}
-	if st := b.snapshot(); st.events != uint64(acted) {
-		t.Fatalf("stats events=%d, served %d", st.events, acted)
-	}
 }

@@ -50,8 +50,8 @@ var ErrWrongShard = errors.New("session moved to another shard " + wrongShardMar
 var ErrReplicaDraining = errors.New("replica draining, not accepting sessions " + drainingMarker)
 
 // ErrOverloaded reports the server shed the request before doing any work on
-// it: the admission gate was saturated (in-flight + parked events past
-// MaxInflight) or the request's deadline budget was already spent when its
+// it: the admission gate was saturated (in-flight events past MaxInflight)
+// or the request's deadline budget was already spent when its
 // turn came. Shedding always happens before the session mirror mutates, so
 // the session — and its seq — are intact: the documented recovery is to back
 // off (with jitter) and retry the same event on the same connection. No

@@ -12,12 +12,12 @@ import (
 )
 
 // TestConcurrentSessionsFloat32 is the race bar for the raw-speed kernel
-// pass: N full simulations in parallel over one coalescing server with the
-// float32 storage mode on and the matmul worker pool forced active — the
-// race detector guards the parameter shadows, the kernel pool and the
-// dispatcher-owned BatchScratch all at once. Results are tolerance-bounded,
-// not bitwise, so the assertion is completion, not equivalence (the f64
-// equivalence suite lives in TestConcurrentSessions and core's batch tests).
+// pass: N full simulations in parallel over one server with the float32
+// storage mode on and the matmul worker pool forced active — the race
+// detector guards the parameter shadows and the kernel pool at once.
+// Results are tolerance-bounded, not bitwise, so the assertion is
+// completion, not equivalence (the f64 equivalence suite lives in
+// TestConcurrentSessions and TestConcurrentServingBitIdentical).
 func TestConcurrentSessionsFloat32(t *testing.T) {
 	nn.SetInference32(true)
 	defer nn.SetInference32(false)

@@ -28,7 +28,6 @@ func blockingConfig(maxInflight int, entered chan<- struct{}, release <-chan str
 	return SessionConfig{
 		Default:     "fifo",
 		MaxInflight: maxInflight,
-		MaxBatch:    1,
 		IdleTimeout: -1,
 		New: func(name string, seed int64) (scheduler.Scheduler, error) {
 			if name == "block" {
@@ -105,7 +104,7 @@ func TestAdmissionGateSheds(t *testing.T) {
 // with the overloaded marker (counted as a deadline miss), pre-mutation —
 // and the same seq succeeds once the budget is dropped.
 func TestDeadlineBudgetSheds(t *testing.T) {
-	srv, cli := startSessionServer(t, SessionConfig{Default: "fifo", MaxBatch: 1, IdleTimeout: -1})
+	srv, cli := startSessionServer(t, SessionConfig{Default: "fifo", IdleTimeout: -1})
 	sess, err := cli.OpenSession(&OpenRequest{TotalExecutors: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -21,16 +21,13 @@
 //     the agent's incremental per-job embedding cache is sound in serving,
 //     converting the offline inference fast path into serving throughput.
 //
-// Under concurrent load the server coalesces decisions across sessions: a
-// dispatcher (batcher.go) drains concurrent events into stacked inference
-// forwards (core.DecideBatch) with per-session results bit-identical to
-// unbatched serving, zero added latency for a lone client, and ordering,
-// locking and eviction semantics unchanged.
+// Every event is decided on its own RPC handler goroutine, one session's
+// agent at a time; sessions decide concurrently with one another.
 //
 // A RemoteScheduler (v1) or SessionScheduler (v2) client implements
 // sim.Scheduler, so an entire simulation can be driven by a Decima agent
 // living in another process. The wire protocol — schemas, seq ordering,
-// eviction rules, batching semantics — is specified in docs/PROTOCOL.md at
+// eviction rules, concurrency — is specified in docs/PROTOCOL.md at
 // the repository root.
 package rpcsvc
 
@@ -188,7 +185,7 @@ type EventRequest struct {
 	FreeExecutors []ExecutorInfo
 	// Deadline is the caller's time budget for this event, relative to its
 	// arrival at the server. When the budget is spent before the decision
-	// starts — admission backlog, lock wait, a parked batch — the server
+	// starts — admission backlog, lock wait — the server
 	// sheds with ErrOverloaded *before* touching the session mirror, so the
 	// client can retry the identical request. Zero means no budget (the
 	// pre-overload wire form; old clients never set it, old servers ignore

@@ -15,16 +15,11 @@ import (
 //     episode. Recording is opt-in per session and free when off: the
 //     agent's Record hook stays nil, which is also what keeps the
 //     recording-off serving path bit-identical to before.
-//   - A recording session's agent has Record set, so core.DecideBatch
-//     already refuses to stack it — it decides on the sequential path
-//     inside the dispatcher, with bit-identical results.
 //   - SwapAgents installs new parameters into every live session between
-//     decisions: each session's lock is taken (an in-flight decision —
-//     parked in the batcher or executing — finishes first), the agent
-//     SyncFroms the staged source, and the session keeps serving. While
-//     the swap rolls through the table, sessions on the old and new
-//     parameters hold different lineage tags, so the dispatcher can never
-//     stack them into one forward.
+//     decisions: each session's lock is taken (an in-flight decision
+//     finishes first), the agent SyncFroms the staged source — dropping
+//     its embedding cache, which was computed with the old weights — and
+//     the session keeps serving.
 
 // DefaultRecordMaxSteps bounds a session's trajectory ring when
 // SessionConfig.RecordMaxSteps is zero.
@@ -88,14 +83,11 @@ func (t *sessionTable) all() []*session {
 }
 
 // SwapAgents hot-swaps serving parameters: every live session whose
-// scheduler is a Decima agent adopts src's parameter values and lineage,
-// between decisions and without dropping the session. src is typically a
-// staging agent that just Installed a registry checkpoint — the interned
-// per-(name, version, checksum) lineage it carries is what lets every
-// swapped session (and new clones of src) keep coalescing in the batcher,
-// while sessions not yet swapped hold the old lineage and can never stack
-// with them. Returns the number of sessions swapped; name and version
-// update the served-model identity reported by Stats and /metrics.
+// scheduler is a Decima agent adopts src's parameter values, between
+// decisions and without dropping the session. src is typically a staging
+// agent that just Installed a registry checkpoint. Returns the number of
+// sessions swapped; name and version update the served-model identity
+// reported by Stats and /metrics.
 //
 // The caller must guarantee src's parameters are not mutated during the
 // sweep (publish-then-reload from the registry guarantees it: the trainer

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,12 +209,9 @@ func TestSwapIdenticalWeightsIsNoOp(t *testing.T) {
 }
 
 // TestHotSwapUnderFire swaps parameters back and forth between two staged
-// registry checkpoints while 16 concurrent sampled sessions decide through
-// the coalescing batcher. The invariants: every run completes (a swap never
-// wedges or drops a session), every stacked DecideBatch is
-// lineage-homogeneous (core.BatchAudit — sessions on old and new parameters
-// must never share one forward), and under -race (make race) the sweep's
-// locking is clean.
+// registry checkpoints while 16 concurrent sampled sessions decide. The
+// invariants: every run completes (a swap never wedges or drops a session),
+// and under -race (make race) the sweep's locking is clean.
 func TestHotSwapUnderFire(t *testing.T) {
 	const executors = 6
 	const sessions = 16
@@ -223,31 +219,14 @@ func TestHotSwapUnderFire(t *testing.T) {
 	base.Greedy = false
 
 	// Two parameter sets staged through the registry round-trip: A is base's
-	// weights, B a different initialisation. Distinct checkpoints intern
-	// distinct lineages.
+	// weights, B a different initialisation.
 	other := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(177)))
 	stagedA, ckA := stageCheckpoint(t, base, base, "model-a")
 	stagedB, ckB := stageCheckpoint(t, base, other, "model-b")
-	if core.SameLineage(stagedA, stagedB) {
-		t.Fatal("distinct checkpoints share a lineage")
-	}
-
-	var mixed atomic.Uint64
-	var audited atomic.Uint64
-	core.BatchAudit = func(agents []*core.Agent) {
-		audited.Add(1)
-		for _, a := range agents[1:] {
-			if !core.SameLineage(agents[0], a) {
-				mixed.Add(1)
-			}
-		}
-	}
-	defer func() { core.BatchAudit = nil }()
 
 	srv, cli := startSessionServer(t, SessionConfig{
-		Default:  "decima",
-		New:      cloneFactory(base),
-		MaxBatch: 8,
+		Default: "decima",
+		New:     cloneFactory(base),
 	})
 
 	// Swap loop: alternate the two staged models while the sessions run.
@@ -297,17 +276,9 @@ func TestHotSwapUnderFire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := mixed.Load(); got != 0 {
-		t.Fatalf("%d stacked batches mixed parameter lineages", got)
-	}
 	snap := srv.svc.Stats()
 	if snap.Swaps < 2 {
 		t.Fatalf("only %d swaps happened under fire", snap.Swaps)
 	}
-	st := srv.svc.batch.snapshot()
-	if st.events == 0 {
-		t.Fatal("no decisions went through the coalescing dispatcher")
-	}
-	t.Logf("under fire: %d swaps, %d batcher events (%d coalesced rounds audited %d times)",
-		snap.Swaps, st.events, st.coalesced, audited.Load())
+	t.Logf("under fire: %d swaps over %d events", snap.Swaps, snap.Events)
 }

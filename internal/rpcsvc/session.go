@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 )
@@ -43,10 +42,8 @@ type session struct {
 // event applies one delta to the mirror and asks the scheduler for the next
 // action. It holds the session lock for the whole apply+decide so
 // concurrent events on one session serialise; events on different sessions
-// run in parallel (unless they share a scheduler via decideMu). When b is
-// non-nil and the session's scheduler is a per-session Decima agent, the
-// decision detours through the coalescing dispatcher so concurrent events
-// share one stacked forward — with bit-identical per-session results.
+// run in parallel (unless they share a scheduler via decideMu). The decision
+// runs on the calling handler's goroutine.
 //
 // The request is validated in full before anything mutates — a rejected
 // event leaves the mirror (and seq) exactly as the client's shadow has it,
@@ -55,7 +52,7 @@ type session struct {
 // on s.mu behind a slow decide, or in the admission backlog) answers
 // ErrOverloaded before seq advances or a job materialises, so the client's
 // retry of the identical request is valid.
-func (s *session) event(req *EventRequest, b *batcher, deadline time.Time) (*ScheduleResponse, error) {
+func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -148,20 +145,6 @@ func (s *session) event(req *EventRequest, b *batcher, deadline time.Time) (*Sch
 		defer s.decideMu.Unlock()
 	}
 	start := time.Now()
-	if b != nil && s.decideMu == nil {
-		// Per-session agent instances may coalesce: the event keeps holding
-		// s.mu while parked, so nothing else touches this agent (or mirror)
-		// until the batch answers. A stopped batcher falls through to the
-		// sequential decide below — same result.
-		if ag, ok := s.sched.(*core.Agent); ok {
-			if act, served := b.decide(ag, state, deadline); served {
-				if s.stats != nil {
-					s.stats.Decide.Observe(time.Since(start))
-				}
-				return ResponseFromAction(act), nil
-			}
-		}
-	}
 	act, err := s.sched.Decide(state)
 	if err != nil {
 		return nil, err

@@ -278,7 +278,7 @@ func TestEventOnResetSessionFailsCleanly(t *testing.T) {
 		NewJobs:       []JobInfo{{ID: 1, Stages: []StageInfo{{ID: 0, NumTasks: 1, TaskDuration: 1, CPUReq: 1}}}},
 		Order:         []int{1},
 		FreeExecutors: []ExecutorInfo{{ID: 0, Mem: 1, LocalJob: -1}},
-	}, nil, time.Time{})
+	}, time.Time{})
 	if err == nil {
 		t.Fatal("event on a reset session succeeded")
 	}

@@ -110,22 +110,22 @@ type ServerStats struct {
 	OpensRejected atomic.Uint64
 	// SeqGaps counts events rejected for sequence-order violations.
 	SeqGaps atomic.Uint64
-	// Shed counts requests refused at the admission gate (in-flight + parked
-	// events past MaxInflight); DeadlineMiss counts requests shed because
+	// Shed counts requests refused at the admission gate (in-flight events
+	// past MaxInflight); DeadlineMiss counts requests shed because
 	// their deadline budget was spent before the decision could start. Both
 	// shed paths answer ErrOverloaded and never touch the session mirror, so
 	// shed work is exactly retryable — Decide never observes it.
 	Shed, DeadlineMiss atomic.Uint64
-	// Inflight tracks events currently admitted (executing or parked in the
-	// batcher); the admission gate compares it against MaxInflight.
+	// Inflight tracks events currently admitted (executing or waiting on
+	// their session lock); the admission gate compares it against MaxInflight.
 	Inflight atomic.Int64
 	// EvictedLRU and EvictedIdle count session-table evictions by cause.
 	EvictedLRU, EvictedIdle atomic.Uint64
 	// RecordingOpens counts sessions opened with trajectory recording on;
 	// Swaps counts SwapAgents sweeps (live model hot-swaps).
 	RecordingOpens, Swaps atomic.Uint64
-	// Decide observes the latency of every scheduling decision (batched or
-	// sequential, session or stateless).
+	// Decide observes the latency of every scheduling decision (session or
+	// stateless).
 	Decide LatencyHist
 }
 
