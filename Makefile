@@ -32,18 +32,16 @@ docs-check:
 #
 # BENCH_inference.json: event-decision latency (fast path, no-cache fast
 # path, pre-PR tracked path) plus the Fig. 9a end-to-end benchmark.
-# BENCH_serving.json: per-event serving latency over the wire — stateless
-# v1 protocol (state rebuilt per request, cache can't hit) vs the v2
-# session protocol (server-side mirror, embedding cache on), plus the
-# 16-concurrent-session benchmark; the "ns/event" extra metric is the
-# comparison that matters.
+# BENCH_serving.json: per-event serving latency over the wire — one
+# session (server-side mirror, embedding cache on) and 16 concurrent
+# sessions; the "ns/event" extra metric is the number that matters.
 # BENCH_training.json: full training-iteration cost (inference rollouts +
 # episode replay backward) on the batched replay vs the per-decision
 # direct-tape reference; ns/op, allocs/op and the "episodes/sec" extra
 # metric are the numbers the ≥3× training-throughput bar is judged on.
 # BENCH_kernels.json: raw matmul kernel throughput (the "GFLOP/s" extra
-# metric) at the stack's decision/batch/replay shapes, float64 vs float32
-# storage, plus the -matmul-workers scaling sweep; see docs/KERNELS.md.
+# metric) at the stack's decision/batch/replay shapes, the fused MLP
+# forward, plus the kernel pool's worker-count sweep; see docs/KERNELS.md.
 # BENCH_fleet.json: aggregate serving throughput through the
 # session-sharding router at 1/2/4 replicas ("events/sec"), with the
 # "migrations" metric pinning the steady state at zero; see docs/FLEET.md.

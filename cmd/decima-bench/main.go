@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"repro/internal/exp"
-	"repro/internal/nn"
 	"repro/internal/scheduler"
 	"repro/internal/workload"
 )
@@ -51,12 +50,8 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		listScheds = flag.Bool("list-schedulers", false, "list registered scheduler names and exit")
 		listFails  = flag.Bool("list-failures", false, "list failure regime names and exit")
-		f32        = flag.Bool("f32", false, "float32 inference storage for no-grad forwards (tolerance-bounded, see docs/KERNELS.md)")
-		matmulWk   = flag.Int("matmul-workers", 0, "matmul kernel workers for tall stacked forwards (0 = one per CPU; results identical for any value)")
 	)
 	flag.Parse()
-	nn.SetInference32(*f32)
-	nn.SetMatMulWorkers(*matmulWk)
 
 	if *list {
 		fmt.Println(strings.Join(exp.IDs(), "\n"))

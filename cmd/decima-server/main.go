@@ -1,10 +1,8 @@
 // Command decima-server runs a scheduling service over TCP (the §6
 // integration surface). A cluster — or the driver in examples/rpc —
-// either opens a stateful session (Open/Event/Close, the v2 protocol:
-// incremental event deltas, server-side state, embedding cache warm across
-// events) or sends one-shot full-snapshot ScheduleRequests (the v1
-// compatibility path); the service replies with
-// ⟨stage, parallelism limit(, class)⟩ per scheduling event.
+// opens a stateful session (Open/Event/Close: incremental event deltas,
+// server-side state, embedding cache warm across events); the service
+// replies with ⟨stage, parallelism limit(, class)⟩ per scheduling event.
 //
 // Any policy from the scheduler registry can be served; sessions may also
 // select a policy per OpenSession call. Each session decides on its own
@@ -51,7 +49,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/nn"
 	"repro/internal/online"
 	"repro/internal/registry"
 	"repro/internal/rpcsvc"
@@ -73,16 +70,12 @@ func main() {
 		seed         = flag.Int64("seed", 1, "random seed for schedulers (per-session seeds from OpenSession take precedence)")
 		maxSessions  = flag.Int("max-sessions", rpcsvc.DefaultMaxSessions, "bound on concurrent sessions (LRU eviction beyond it; <0 unbounded)")
 		idleTimeout  = flag.Duration("idle-timeout", rpcsvc.DefaultIdleTimeout, "evict sessions idle for this long (<0 never)")
-		f32          = flag.Bool("f32", false, "float32 inference storage (tolerance-bounded, see docs/KERNELS.md; off = bitwise float64)")
-		matmulWk     = flag.Int("matmul-workers", 0, "matmul kernel workers for tall stacked forwards (0 = one per CPU; results identical for any value)")
 		replicaID    = flag.String("replica-id", "", "fleet replica identity announced in Open replies and metrics (empty for standalone)")
 		httpAddr     = flag.String("http", "", "ops HTTP address serving /healthz and /metrics (empty disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for sessions to leave after SIGTERM before exiting anyway")
 		maxInflight  = flag.Int("max-inflight", 0, "admission bound on in-flight events; beyond it requests are shed with the typed overloaded error (0 = unbounded)")
 	)
 	flag.Parse()
-	nn.SetInference32(*f32)
-	nn.SetMatMulWorkers(*matmulWk)
 
 	// The decima agent is built (and its model loaded) once; sessions get
 	// clones, so concurrent sessions share no mutable state while serving

@@ -13,12 +13,19 @@
 // reference resolves if it exists relative to the repository root or
 // relative to the referencing document's directory.
 //
+// Cited test names resolve too: every Test*, Benchmark* or Fuzz* name in
+// the documents must match a func defined in some _test.go file in the
+// tree, exactly or as a prefix of one — the way `go test -run`/`-bench`
+// patterns match — so a deleted or renamed test fails the check instead of
+// lingering in the docs.
+//
 //	docscheck [-root dir]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -40,14 +47,21 @@ var docs = []string{
 }
 
 var (
-	urlRe = regexp.MustCompile(`https?://\S+`)
-	refRe = regexp.MustCompile(`[A-Za-z0-9_./-]+\.(?:md|json|go|yml)\b`)
+	urlRe     = regexp.MustCompile(`https?://\S+`)
+	refRe     = regexp.MustCompile(`[A-Za-z0-9_./-]+\.(?:md|json|go|yml)\b`)
+	citedRe   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
+	definedRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
 )
 
 func main() {
 	root := flag.String("root", ".", "repository root")
 	flag.Parse()
 
+	defined, err := testFuncs(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		os.Exit(1)
+	}
 	bad := 0
 	for _, doc := range docs {
 		path := filepath.Join(*root, doc)
@@ -75,12 +89,62 @@ func main() {
 			fmt.Fprintf(os.Stderr, "docscheck: %s references missing file %q\n", doc, ref)
 			bad++
 		}
+		for _, name := range citedRe.FindAllString(text, -1) {
+			if seen[name] {
+				continue
+			}
+			seen[name] = true
+			if !resolves(name, defined) {
+				fmt.Fprintf(os.Stderr, "docscheck: %s cites undefined test %q\n", doc, name)
+				bad++
+			}
+		}
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "docscheck: %d broken reference(s)\n", bad)
 		os.Exit(1)
 	}
 	fmt.Println("docscheck: all documentation references resolve")
+}
+
+// testFuncs returns the names of every Test, Benchmark and Fuzz func
+// defined in a _test.go file under root.
+func testFuncs(root string) ([]string, error) {
+	var names []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range definedRe.FindAllStringSubmatch(string(data), -1) {
+			names = append(names, m[1])
+		}
+		return nil
+	})
+	return names, err
+}
+
+// resolves reports whether a cited test name matches a defined one exactly
+// or as a prefix.
+func resolves(name string, defined []string) bool {
+	for _, d := range defined {
+		if strings.HasPrefix(d, name) {
+			return true
+		}
+	}
+	return false
 }
 
 func exists(p string) bool {

@@ -8,7 +8,7 @@
 // caching, batched training and serving), EXPERIMENTS.md for the paper
 // figure/table ↔ experiment/benchmark mapping with current measured
 // numbers, docs/KERNELS.md for the numeric kernel layer (blocked parallel
-// matmul, float32 inference storage, benchmark artifacts), and
+// matmul, float64 precision policy, benchmark artifacts), and
 // docs/PROTOCOL.md for the RPC scheduling service's wire protocol, and
 // docs/FLEET.md for the distributed serving tier (session-sharding
 // router, replica lifecycle, fleet observability), and docs/ONLINE.md

@@ -2,11 +2,11 @@
 // in-process, then drive a cluster simulation against it over TCP, exactly
 // as a Spark master would consult the agent on every scheduling event.
 //
-// The driver uses the v2 session protocol — OpenSession once, then one
+// The driver uses the session protocol — OpenSession once, then one
 // O(delta) Event per scheduling event against the server's persistent
 // cluster mirror (which keeps the agent's embedding cache warm) — and then
-// repeats the run over the legacy stateless protocol to show both wire
-// paths produce the identical schedule.
+// repeats the run with the same agent in-process to show the served
+// schedule is identical.
 package main
 
 import (
@@ -58,16 +58,19 @@ func main() {
 	fmt.Printf("session protocol:   %d jobs, avg JCT %.1f s, makespan %.1f s, %d events, %d rpc errors\n",
 		len(res.Completed), res.AvgJCT(), res.Makespan, res.Invocations, rpcErrs)
 
-	// Same run over the stateless v1 protocol (full snapshot per request).
-	stateless := &rpcsvc.RemoteScheduler{Client: cli, OnError: func(error) { rpcErrs++ }}
-	res2 := sim.New(sim.SparkDefaults(executors), workload.CloneAll(jobs), stateless, rand.New(rand.NewSource(3))).Run()
-	fmt.Printf("stateless protocol: %d jobs, avg JCT %.1f s, makespan %.1f s, %d events, %d rpc errors\n",
-		len(res2.Completed), res2.AvgJCT(), res2.Makespan, res2.Invocations, rpcErrs)
+	// Same run with the same agent deciding in-process.
+	local, err := scheduler.New("decima", scheduler.Options{Executors: executors, Agent: base})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res2 := sim.New(sim.SparkDefaults(executors), workload.CloneAll(jobs), scheduler.Sim(local), rand.New(rand.NewSource(3))).Run()
+	fmt.Printf("in-process agent:   %d jobs, avg JCT %.1f s, makespan %.1f s, %d events\n",
+		len(res2.Completed), res2.AvgJCT(), res2.Makespan, res2.Invocations)
 
 	if res.AvgJCT() != res2.AvgJCT() || res.Makespan != res2.Makespan {
-		log.Fatal("protocols diverged — they must produce identical schedules")
+		log.Fatal("served and in-process runs diverged — they must produce identical schedules")
 	}
-	fmt.Println("both protocols produced the identical schedule")
+	fmt.Println("served and in-process runs produced the identical schedule")
 	if res.Unfinished > 0 || res2.Unfinished > 0 {
 		log.Fatalf("jobs unfinished: %d / %d", res.Unfinished, res2.Unfinished)
 	}

@@ -42,7 +42,14 @@ func TestEndToEndTrainSaveServeSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	served.Greedy = true
-	srv, err := rpcsvc.ListenAndServe("127.0.0.1:0", served)
+	// Every session decides on its own clone of the loaded model, as
+	// cmd/decima-server serves it.
+	srv, err := rpcsvc.ListenAndServeSessions("127.0.0.1:0", rpcsvc.SessionConfig{
+		Default: "decima",
+		New: func(name string, seed int64) (scheduler.Scheduler, error) {
+			return served.Clone(rand.New(rand.NewSource(seed))), nil
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,23 +61,16 @@ func TestEndToEndTrainSaveServeSchedule(t *testing.T) {
 	defer cli.Close()
 
 	jobs := workload.Batch(rand.New(rand.NewSource(4)), 5)
-	res := sim.New(simCfg, jobs, &rpcsvc.RemoteScheduler{Client: cli}, rand.New(rand.NewSource(5))).Run()
+	ss := &rpcsvc.SessionScheduler{Client: cli}
+	res := sim.New(simCfg, jobs, ss, rand.New(rand.NewSource(5))).Run()
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if res.Deadlock || res.Unfinished != 0 {
 		t.Fatalf("remote trained agent failed: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
 	}
 	if res.AvgJCT() <= 0 {
 		t.Fatal("no JCT recorded")
-	}
-
-	// The same deployment through the v2 session protocol (server-side
-	// state, O(delta) events) must produce the identical schedule.
-	ss := &rpcsvc.SessionScheduler{Client: cli}
-	sessRes := sim.New(simCfg, workload.Batch(rand.New(rand.NewSource(4)), 5), ss, rand.New(rand.NewSource(5))).Run()
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sessRes.AvgJCT() != res.AvgJCT() {
-		t.Fatalf("session protocol diverges from stateless: %v vs %v", sessRes.AvgJCT(), res.AvgJCT())
 	}
 
 	// The served (loaded) model must behave identically to the original

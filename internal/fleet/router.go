@@ -144,7 +144,6 @@ type Router struct {
 	nextSID uint64
 
 	nextKey atomic.Uint64
-	rr      atomic.Uint64
 
 	stats      routerStats
 	scrapeMu   sync.Mutex
@@ -519,49 +518,6 @@ func (rt *Router) closeSession(req *rpcsvc.CloseRequest) error {
 		return err
 	}
 	return nil
-}
-
-// schedule forwards one stateless v1 request to any routable replica
-// (round-robin), failing over within the call on transport errors.
-func (rt *Router) schedule(req *rpcsvc.ScheduleRequest, resp *rpcsvc.ScheduleResponse) error {
-	ids := rt.routableIDs()
-	if len(ids) == 0 {
-		rt.stats.noReplica.Add(1)
-		return fmt.Errorf("fleet: no routable replica: %w", rpcsvc.ErrReplicaDraining)
-	}
-	n := int(rt.rr.Add(1))
-	var lastErr error
-	for i := 0; i < len(ids); i++ {
-		rep := rt.replica(ids[(n+i)%len(ids)])
-		if rep == nil || !rep.routable() || !rep.breakerReady() {
-			continue
-		}
-		start := time.Now()
-		bresp, err := rep.cli.Schedule(req)
-		if err == nil {
-			rep.forwardOK()
-			rep.forward.Observe(time.Since(start))
-			rep.events.Add(1)
-			rt.stats.events.Add(1)
-			*resp = *bresp
-			return nil
-		}
-		if rpcsvc.IsOverloaded(err) {
-			// Stateless requests are replica-agnostic: count the overload
-			// against this replica's breaker and try the next one.
-			rt.forwardFail(rep, "schedule overloaded")
-			lastErr = err
-			continue
-		}
-		if !rpcsvc.IsTransient(err) {
-			return err
-		}
-		rt.markFailed(rep, "schedule forward")
-		rt.forwardFail(rep, "schedule transport")
-		lastErr = err
-	}
-	rt.stats.noReplica.Add(1)
-	return fmt.Errorf("fleet: no replica answered (last error: %v): %w", lastErr, rpcsvc.ErrReplicaDraining)
 }
 
 // dropRoute removes one fleet session route, reporting whether it existed.

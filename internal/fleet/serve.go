@@ -12,7 +12,7 @@ import (
 
 // service adapts the Router to the net/rpc "Decima" surface. It is a
 // separate struct (rather than RPC-registering the Router itself) so only
-// the four protocol methods are visible to net/rpc — the Router's admin
+// the three protocol methods are visible to net/rpc — the Router's admin
 // methods would otherwise trip its method-suitability checks.
 type service struct{ rt *Router }
 
@@ -31,13 +31,8 @@ func (s *service) Close(req *rpcsvc.CloseRequest, resp *rpcsvc.CloseResponse) er
 	return s.rt.closeSession(req)
 }
 
-// Schedule forwards one stateless v1 request to any routable replica.
-func (s *service) Schedule(req *rpcsvc.ScheduleRequest, resp *rpcsvc.ScheduleResponse) error {
-	return s.rt.schedule(req, resp)
-}
-
 // Server is a listening fleet router speaking the rpcsvc session protocol.
-// Existing clients (SessionScheduler, RemoteScheduler) connect to it exactly
+// Existing clients (SessionScheduler) connect to it exactly
 // as they would to a single decima-server.
 type Server struct {
 	rt   *Router

@@ -16,16 +16,11 @@
 //   - layers.go — Linear and MLP, with initialisers
 //   - optim.go, params.go, serialize.go — SGD/Adam, parameter sets, model I/O
 //   - nograd.go — no-grad inference mode and the Scratch bump arena
-//     (float64 and float32 slabs)
 //   - fused.go — fused no-grad MLP forward (matmul + bias + activation)
 //   - kernel.go — the raw-speed kernel layer: blocked, register-tiled
 //     matmul kernels shared by the tracked and fused paths, plus the
 //     pooled row-block parallelism (SetMatMulWorkers). Bit-identical to
 //     the scalar kernels for any worker count.
-//   - inference32.go — opt-in float32 storage for no-grad inference
-//     (SetInference32 / Inference32): float32 weight shadows and
-//     intermediates under a stated tolerance (Within32Tol), float64
-//     remaining the bitwise reference.
 //   - batch.go — segmented episode-replay ops (SegmentPickLoss, …)
 //
 // The float64 path is the repository's bitwise reference; every fast path

@@ -62,15 +62,9 @@ func applyBiasActF64(data, bias []float64, m int, act Activation, lo, hi int) {
 
 // ForwardInference is the network's fused no-grad forward pass: every layer
 // runs matmul+bias+activation in one sweep, all intermediates live in the
-// scratch arena, and the returned tensor is valid until s.Reset. On the
-// default float64 path values are bit-identical to Forward; when the
-// tolerance-bounded float32 storage mode is active (Inference32) the chain
-// runs in float32 and converts back at the network boundary — see
-// inference32.go for the tolerance policy.
+// scratch arena, and the returned tensor is valid until s.Reset. Values
+// are bit-identical to Forward.
 func (m *MLP) ForwardInference(x *Tensor, s *Scratch) *Tensor {
-	if inference32Active() {
-		return m.forwardInference32(x, s)
-	}
 	h := x
 	for i, l := range m.Layers {
 		act := ActIdentity

@@ -2,7 +2,7 @@ package nn
 
 // This file is the raw-speed matmul kernel layer: register-tiled,
 // cache-blocked inner loops shared by the tracked MatMul op (ops.go) and the
-// fused no-grad forwards (fused.go, inference32.go), plus the pooled
+// fused no-grad forwards (fused.go), plus the pooled
 // goroutine parallelism that kicks in for the tall stacked matrices the
 // training replay produces. docs/KERNELS.md
 // documents the scheme; BenchmarkKernel* (kernel_bench_test.go →
@@ -30,8 +30,8 @@ var matmulWorkersCfg atomic.Int64
 
 // SetMatMulWorkers sets the worker count the blocked kernels may spread row
 // blocks over: 1 forces the single-threaded path, 0 (the default) tracks
-// GOMAXPROCS. Results are bit-identical for every value — the
-// -matmul-workers flag on the binaries is a throughput knob only. Small
+// GOMAXPROCS. Results are bit-identical for every value, so binaries leave
+// it at the default and tests use it to force worker counts. Small
 // matrices stay on the single-threaded path regardless (kernelWorkers).
 func SetMatMulWorkers(n int) {
 	if n < 0 {

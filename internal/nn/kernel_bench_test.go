@@ -7,8 +7,8 @@ import (
 )
 
 // The BenchmarkKernel* family feeds BENCH_kernels.json (make bench-json):
-// raw matmul kernel throughput in GFLOP/s at the stack's real shapes, f64 vs
-// f32, single-decision vs stacked. docs/KERNELS.md explains how to read the
+// raw matmul kernel throughput in GFLOP/s at the stack's real shapes,
+// single-decision vs stacked. docs/KERNELS.md explains how to read the
 // numbers.
 
 // kernelShapes are the matmul shapes that dominate the stack's flop budget:
@@ -53,71 +53,33 @@ func BenchmarkKernelMatMulF64(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMatMulF32 measures the float32 twin on identical shapes —
-// the storage half of the f32 speedup, isolated from conversions.
-func BenchmarkKernelMatMulF32(b *testing.B) {
-	for _, sh := range kernelShapes {
-		b.Run(sh.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			a := make([]float32, sh.n*sh.k)
-			w := make([]float32, sh.k*sh.m)
-			for i := range a {
-				a[i] = float32(rng.NormFloat64())
-			}
-			for i := range w {
-				w[i] = float32(rng.NormFloat64())
-			}
-			out := make([]float32, sh.n*sh.m)
+// BenchmarkKernelMLPInference measures the full fused MLP forward (matmul +
+// bias + activation per layer, arena-backed) at the stacked shapes — the
+// end-to-end cost the serving and replay paths pay.
+func BenchmarkKernelMLPInference(b *testing.B) {
+	for _, rows := range []int{64, 512, 8192} {
+		b.Run(fmt.Sprintf("rows%d", rows), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			m := NewMLP([]int{24, 32, 16, 1}, ActLeakyReLU, rng)
+			x := randTensor(rng, rows, 24)
+			var s Scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				matmulRowsF32(out, a, w, sh.k, sh.m, 0, sh.n)
+				s.Reset()
+				m.ForwardInference(x, &s)
 			}
-			reportGFLOPs(b, sh.n, sh.k, sh.m)
+			// One forward is three layers: 24→32→16→1.
+			flops := 2 * float64(rows) * float64(24*32+32*16+16*1) * float64(b.N)
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(flops/sec/1e9, "GFLOP/s")
+			}
 		})
 	}
 }
 
-// BenchmarkKernelMLPInference measures the full fused MLP forward (matmul +
-// bias + activation per layer, arena-backed) at the stacked shapes, float64
-// vs float32 storage — the end-to-end cost the serving and replay paths pay.
-func BenchmarkKernelMLPInference(b *testing.B) {
-	for _, mode := range []string{"f64", "f32"} {
-		for _, rows := range []int{64, 512, 8192} {
-			b.Run(fmt.Sprintf("%s/rows%d", mode, rows), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(2))
-				m := NewMLP([]int{24, 32, 16, 1}, ActLeakyReLU, rng)
-				x := randTensor(rng, rows, 24)
-				var s Scratch
-				run := func() {
-					s.Reset()
-					m.ForwardInference(x, &s)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				if mode == "f32" {
-					Inference32(func() {
-						for i := 0; i < b.N; i++ {
-							run()
-						}
-					})
-				} else {
-					for i := 0; i < b.N; i++ {
-						run()
-					}
-				}
-				// One forward is three layers: 24→32→16→1.
-				flops := 2 * float64(rows) * float64(24*32+32*16+16*1) * float64(b.N)
-				if sec := b.Elapsed().Seconds(); sec > 0 {
-					b.ReportMetric(flops/sec/1e9, "GFLOP/s")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkKernelMatMulWorkers sweeps the worker count at the replay shape —
-// the scaling knob -matmul-workers exposes. On a single-CPU host all counts
+// BenchmarkKernelMatMulWorkers sweeps the worker count at the replay shape
+// (SetMatMulWorkers). On a single-CPU host all counts
 // collapse to the serial path's throughput; on multicore the spread is the
 // parallel speedup.
 func BenchmarkKernelMatMulWorkers(b *testing.B) {

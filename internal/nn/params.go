@@ -18,7 +18,6 @@ func CopyParams(dst, src []*Tensor) {
 			panic(fmt.Sprintf("nn: CopyParams tensor %d shape %d×%d != %d×%d", i, d.Rows, d.Cols, s.Rows, s.Cols))
 		}
 		copy(d.Data, s.Data)
-		d.NoteMutation()
 	}
 }
 

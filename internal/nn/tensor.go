@@ -29,20 +29,7 @@ type Tensor struct {
 	// suffice; walk ids come from an atomic counter so concurrent walks
 	// over disjoint graphs never share an id.
 	visited uint64
-	// mutations counts value rewrites of this tensor (NoteMutation). The
-	// float32 inference shadows (inference32.go) compare it against the count
-	// they were built at to decide when to re-convert a parameter, so every
-	// code path that overwrites Data of a parameter in place — the
-	// optimizers, CopyParams, LoadParams — bumps it.
-	mutations uint64
 }
-
-// NoteMutation records that the tensor's values were rewritten in place,
-// invalidating any derived caches (the float32 inference shadows). The
-// in-repo mutation paths — optimizer steps, CopyParams, LoadParams — call it
-// already; external code writing Data directly must call it too if the
-// float32 inference mode is in use.
-func (t *Tensor) NoteMutation() { t.mutations++ }
 
 // New returns a rows×cols tensor with the given backing data (not copied).
 // It panics if the data length does not match the shape.

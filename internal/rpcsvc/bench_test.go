@@ -18,16 +18,11 @@ import (
 // The serving benchmark: one iteration drives a full batched-arrival
 // simulation through the service and the reported "ns/event" metric is the
 // per-scheduling-event serving latency (RPC round trip + server-side
-// decision) — the number a live cluster integration experiences.
+// decision) — the number a live cluster integration experiences. Sessions
+// ship O(delta) payloads into a server-side mirror, so the embedding cache
+// stays ON and hits across events.
 //
-//   - Stateless: the v1 protocol as cmd/decima-server shipped it before the
-//     session redesign — one shared persistent agent, full snapshot per
-//     request, state rebuilt server-side each time, so the embedding cache
-//     can never hit (the old server set NoCache for exactly that reason).
-//   - Session: the v2 protocol — O(delta) payloads into a server-side
-//     mirror, embedding cache ON and hitting across events.
-//
-// make bench-json runs both and emits BENCH_serving.json.
+// make bench-json runs these and emits BENCH_serving.json.
 
 const benchExecutors = 10
 
@@ -37,52 +32,8 @@ func benchAgent() *core.Agent {
 	return a
 }
 
-func benchServe(b *testing.B, mkSched func(cli *Client) sim.Scheduler, srv *Server) {
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cli.Close()
-	jobs := workload.Batch(rand.New(rand.NewSource(7)), 10)
-	cfg := sim.SparkDefaults(benchExecutors)
-
-	events := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := mkSched(cli)
-		res := sim.New(cfg, workload.CloneAll(jobs), s, rand.New(rand.NewSource(3))).Run()
-		if res.Unfinished != 0 || res.Deadlock {
-			b.Fatalf("run failed: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
-		}
-		events += res.Invocations
-		if ss, ok := s.(*SessionScheduler); ok {
-			if err := ss.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	if events > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-	}
-}
-
-// BenchmarkServeStateless measures the pre-session serving deployment: the
-// legacy single-agent server with NoCache (the cache could never hit on
-// rebuilt state; skipping its bookkeeping was strictly faster).
-func BenchmarkServeStateless(b *testing.B) {
-	agent := benchAgent()
-	agent.NoCache = true
-	srv, err := ListenAndServe("127.0.0.1:0", agent)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	benchServe(b, func(cli *Client) sim.Scheduler { return &RemoteScheduler{Client: cli} }, srv)
-}
-
 // BenchmarkServeSession measures the session protocol with the embedding
-// cache enabled — the cmd/decima-server default after the redesign.
+// cache enabled — the cmd/decima-server default.
 func BenchmarkServeSession(b *testing.B) {
 	srv, err := ListenAndServeSessions("127.0.0.1:0", SessionConfig{
 		Default: "decima",
@@ -94,7 +45,31 @@ func BenchmarkServeSession(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	benchServe(b, func(cli *Client) sim.Scheduler { return &SessionScheduler{Client: cli} }, srv)
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+	jobs := workload.Batch(rand.New(rand.NewSource(7)), 10)
+	cfg := sim.SparkDefaults(benchExecutors)
+
+	events := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ss := &SessionScheduler{Client: cli}
+		res := sim.New(cfg, workload.CloneAll(jobs), ss, rand.New(rand.NewSource(3))).Run()
+		if res.Unfinished != 0 || res.Deadlock {
+			b.Fatalf("run failed: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
+		}
+		events += res.Invocations
+		if err := ss.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if events > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	}
 }
 
 // BenchmarkServeSessionConcurrent drives benchConcurrency full simulations

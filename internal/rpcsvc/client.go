@@ -107,17 +107,7 @@ func (c *Client) redialFrom(gen uint64) error {
 	return nil
 }
 
-// Schedule sends one stateless scheduling request and returns the decision
-// (the v1 protocol; the server answers it as an ephemeral session).
-func (c *Client) Schedule(req *ScheduleRequest) (*ScheduleResponse, error) {
-	var resp ScheduleResponse
-	if err := c.call("Decima.Schedule", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// OpenSession establishes a v2 scheduling session on the server and returns
+// OpenSession establishes a scheduling session on the server and returns
 // the client-side handle that tracks what the server has seen, so each
 // Event ships only the delta.
 func (c *Client) OpenSession(req *OpenRequest) (*Session, error) {
@@ -174,7 +164,7 @@ type shadowJob struct {
 	stages           []shadowStage
 }
 
-// Session is the client half of one v2 scheduling session. It keeps a
+// Session is the client half of one scheduling session. It keeps a
 // shadow copy of the state the server has acknowledged; Event diffs the
 // observed cluster state against it and sends only the changes. Not safe
 // for concurrent use — one session drives one cluster's event stream.
@@ -316,37 +306,6 @@ func jobInfo(j *sim.JobState) JobInfo {
 	return ji
 }
 
-// RemoteScheduler adapts the client to sim.Scheduler over the stateless v1
-// protocol: a local simulation's scheduling events are answered by the
-// remote Decima service, exactly as Spark's DAG schedulers consult the
-// Decima agent in §6.1. Every request carries the full cluster snapshot.
-type RemoteScheduler struct {
-	Client *Client
-	// OnError, when set, receives RPC failures; the scheduler then declines
-	// to schedule (returns nil), leaving executors idle rather than
-	// crashing the simulation.
-	OnError func(error)
-}
-
-// Schedule implements sim.Scheduler over the wire.
-func (r *RemoteScheduler) Schedule(s *sim.State) *sim.Action {
-	resp, err := r.Client.Schedule(RequestFromState(s))
-	if err != nil {
-		if r.OnError != nil {
-			r.OnError(err)
-		}
-		return nil
-	}
-	act, err := ActionFromResponse(resp, s)
-	if err != nil {
-		if r.OnError != nil {
-			r.OnError(err)
-		}
-		return nil
-	}
-	return act
-}
-
 // DefaultSessionRetries is the per-event attempt budget of a
 // SessionScheduler when MaxRetries is zero.
 const DefaultSessionRetries = 4
@@ -361,7 +320,7 @@ const DefaultSessionBackoff = 25 * time.Millisecond
 // into minutes.
 const DefaultSessionMaxBackoff = 2 * time.Second
 
-// SessionScheduler adapts the client to sim.Scheduler over the v2 session
+// SessionScheduler adapts the client to sim.Scheduler over the session
 // protocol: it opens a session lazily on the first scheduling event (using
 // the cluster constants observed there) and then ships O(delta) event
 // requests, letting the server keep its mirror — and the agent its

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dag"
+	"repro/internal/nn"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -170,4 +172,65 @@ func TestServerCloseWithParkedEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentSessionsMatMulPool is the race bar for the matmul kernel
+// pool under serving: concurrent sampled sessions over one server with the
+// pool forced to four workers. Each session's cluster runs one 300-stage
+// job, so every decision's per-job node forwards are at least 256 rows —
+// past the pool's size gate — and the row blocks really spread over the
+// pool. Kernel results are bit-identical for any worker count, so every
+// session's run must equal its in-process reference exactly.
+func TestConcurrentSessionsMatMulPool(t *testing.T) {
+	nn.SetMatMulWorkers(4)
+	defer nn.SetMatMulWorkers(0)
+
+	const (
+		executors = 6
+		sessions  = 4
+		stages    = 300
+		horizon   = 200.0 // simulated seconds: ~70 decisions per session
+	)
+	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(31)))
+	base.Greedy = false // sampled: any drift changes the RNG draws
+	_, cli := startSessionServer(t, SessionConfig{Default: "decima", New: cloneFactory(base)})
+
+	job := func(k int) []*dag.Job {
+		return []*dag.Job{dag.Random(rand.New(rand.NewSource(int64(40+k))), stages, 0.02)}
+	}
+	want := make([]string, sessions)
+	for k := range want {
+		a := base.Clone(rand.New(rand.NewSource(int64(k + 1))))
+		res := sim.New(sim.SparkDefaults(executors), job(k), scheduler.Sim(a), rand.New(rand.NewSource(int64(k)))).RunUntil(horizon)
+		want[k] = runKey(res)
+	}
+
+	got := make([]string, sessions)
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for k := 0; k < sessions; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			var rpcErr error
+			ss := &SessionScheduler{Client: cli, Seed: int64(k + 1), OnError: func(e error) { rpcErr = e }}
+			defer ss.Close()
+			res := sim.New(sim.SparkDefaults(executors), job(k), ss, rand.New(rand.NewSource(int64(k)))).RunUntil(horizon)
+			if rpcErr != nil {
+				errs <- rpcErr
+				return
+			}
+			got[k] = runKey(res)
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("session %d: served run with the kernel pool diverged from in-process reference:\n%s\nvs\n%s", k, got[k], want[k])
+		}
+	}
 }

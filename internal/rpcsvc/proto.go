@@ -7,26 +7,21 @@
 // class to use.
 //
 // The wire protocol is plain-data structs over stdlib net/rpc with gob
-// encoding, in two flavours:
-//
-//   - v1, stateless: one ScheduleRequest carries the full cluster snapshot,
-//     the server rebuilds the state from scratch and answers. Kept as a
-//     compatibility shim (it now runs as an ephemeral one-event session).
-//   - v2, sessions: OpenSession(scheduler, seed) → sid establishes a
-//     long-lived server-side mirror of the cluster; each Event(sid, delta)
-//     sends only what changed since the previous event (O(delta), not
-//     O(cluster)) and returns the next action; CloseSession(sid) releases
-//     the mirror. Because the server's sim.JobState mirrors persist across
-//     events — with Version bumped exactly on the jobs a delta touches —
-//     the agent's incremental per-job embedding cache is sound in serving,
-//     converting the offline inference fast path into serving throughput.
+// encoding, organised as sessions: OpenSession(scheduler, seed) → sid
+// establishes a long-lived server-side mirror of the cluster with its own
+// scheduler instance; each Event(sid, delta) sends only what changed since
+// the previous event (O(delta), not O(cluster)) and returns the next
+// action; CloseSession(sid) releases the mirror. Because the server's
+// sim.JobState mirrors persist across events — with Version bumped exactly
+// on the jobs a delta touches — the agent's incremental per-job embedding
+// cache is sound in serving, converting the offline inference fast path
+// into serving throughput.
 //
 // Every event is decided on its own RPC handler goroutine, one session's
 // agent at a time; sessions decide concurrently with one another.
 //
-// A RemoteScheduler (v1) or SessionScheduler (v2) client implements
-// sim.Scheduler, so an entire simulation can be driven by a Decima agent
-// living in another process. The wire protocol — schemas, seq ordering,
+// The SessionScheduler client implements sim.Scheduler, so an entire
+// simulation can be driven by a Decima agent living in another process. The wire protocol — schemas, seq ordering,
 // eviction rules, concurrency — is specified in docs/PROTOCOL.md at
 // the repository root.
 package rpcsvc
@@ -73,18 +68,9 @@ type ExecutorInfo struct {
 	LocalJob int
 }
 
-// ScheduleRequest is the cluster snapshot sent per scheduling event.
-type ScheduleRequest struct {
-	Time           float64
-	JobSeconds     float64
-	TotalExecutors int
-	MoveDelay      float64
-	Jobs           []JobInfo
-	FreeExecutors  []ExecutorInfo
-}
-
 // ScheduleResponse carries the scheduling decision; HasAction false means
-// "leave remaining executors idle".
+// "leave remaining executors idle". EventResponse embeds it, so its type
+// name is a gob field name on the wire and must not change.
 type ScheduleResponse struct {
 	HasAction bool
 	JobID     int
@@ -92,8 +78,6 @@ type ScheduleResponse struct {
 	Limit     int
 	Class     int
 }
-
-// --- session protocol (v2) ---
 
 // OpenRequest establishes a scheduling session: a long-lived server-side
 // mirror of one cluster, with one scheduler instance deciding for it.
@@ -206,31 +190,6 @@ type CloseRequest struct {
 // CloseResponse acknowledges a close.
 type CloseResponse struct{}
 
-// RequestFromState converts a simulator state into its wire form.
-func RequestFromState(s *sim.State) *ScheduleRequest {
-	req := &ScheduleRequest{
-		Time:           s.Time,
-		JobSeconds:     s.JobSeconds,
-		TotalExecutors: s.TotalExecutors,
-		MoveDelay:      s.MoveDelay,
-	}
-	jobIdx := make(map[*sim.JobState]int, len(s.Jobs))
-	for i, j := range s.Jobs {
-		jobIdx[j] = i
-		req.Jobs = append(req.Jobs, jobInfo(j))
-	}
-	for _, e := range s.FreeExecutors {
-		local := -1
-		if e.BoundTo != nil {
-			if i, ok := jobIdx[e.BoundTo]; ok {
-				local = req.Jobs[i].ID
-			}
-		}
-		req.FreeExecutors = append(req.FreeExecutors, ExecutorInfo{ID: e.ID, Class: e.Class, Mem: e.Mem, LocalJob: local})
-	}
-	return req
-}
-
 // jobStateFromInfo materialises one wire-form job as a fresh sim.JobState
 // mirror (static DAG plus runtime counters).
 func jobStateFromInfo(ji *JobInfo) *sim.JobState {
@@ -262,31 +221,6 @@ func jobStateFromInfo(ji *JobInfo) *sim.JobState {
 		}
 	}
 	return js
-}
-
-// StateFromRequest reconstructs a sim.State from the wire form so any
-// scheduler (including the Decima agent) can run server-side.
-func StateFromRequest(req *ScheduleRequest) *sim.State {
-	s := &sim.State{
-		Time:           req.Time,
-		JobSeconds:     req.JobSeconds,
-		TotalExecutors: req.TotalExecutors,
-		MoveDelay:      req.MoveDelay,
-	}
-	byID := make(map[int]*sim.JobState, len(req.Jobs))
-	for i := range req.Jobs {
-		js := jobStateFromInfo(&req.Jobs[i])
-		s.Jobs = append(s.Jobs, js)
-		byID[js.Job.ID] = js
-	}
-	for _, ei := range req.FreeExecutors {
-		e := &sim.Executor{ID: ei.ID, Class: ei.Class, Mem: ei.Mem}
-		if js, ok := byID[ei.LocalJob]; ok {
-			e.BoundTo = js
-		}
-		s.FreeExecutors = append(s.FreeExecutors, e)
-	}
-	return s
 }
 
 // ResponseFromAction converts a scheduler's action on state into its wire

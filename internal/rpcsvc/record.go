@@ -104,12 +104,6 @@ func (d *Decima) SwapAgents(src *core.Agent, name string, version int) int {
 		}
 		s.mu.Unlock()
 	}
-	// The stateless shim agent serves v1 traffic from the same model.
-	d.shimMu.Lock()
-	if ag, ok := d.shim.(*core.Agent); ok {
-		ag.SyncFrom(src)
-	}
-	d.shimMu.Unlock()
 	d.SetModel(name, version)
 	d.stats.Swaps.Add(1)
 	return n

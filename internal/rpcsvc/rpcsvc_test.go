@@ -1,31 +1,19 @@
 package rpcsvc
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// startServer launches a service over the given scheduler on a random port.
-func startServer(t *testing.T, s sim.Scheduler) (*Server, *Client) {
-	t.Helper()
-	srv, err := ListenAndServe("127.0.0.1:0", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close() })
-	return srv, cli
-}
 
 func TestRemoteFIFOMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -34,8 +22,12 @@ func TestRemoteFIFOMatchesLocal(t *testing.T) {
 
 	local := sim.New(cfg, workload.CloneAll(jobs), sched.NewFIFO(), rand.New(rand.NewSource(2))).Run()
 
-	_, cli := startServer(t, sched.NewFIFO())
-	remote := sim.New(cfg, workload.CloneAll(jobs), &RemoteScheduler{Client: cli}, rand.New(rand.NewSource(2))).Run()
+	_, cli := startSessionServer(t, SessionConfig{Default: "fifo"})
+	ss := &SessionScheduler{Client: cli}
+	remote := sim.New(cfg, workload.CloneAll(jobs), ss, rand.New(rand.NewSource(2))).Run()
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	if local.AvgJCT() != remote.AvgJCT() || local.Makespan != remote.Makespan {
 		t.Fatalf("remote FIFO diverges: %v/%v vs %v/%v",
@@ -46,11 +38,13 @@ func TestRemoteFIFOMatchesLocal(t *testing.T) {
 func TestRemoteDecimaAgentCompletes(t *testing.T) {
 	agent := core.New(core.DefaultConfig(6), rand.New(rand.NewSource(3)))
 	agent.Greedy = true
-	_, cli := startServer(t, agent)
+	_, cli := startSessionServer(t, SessionConfig{Default: "decima", New: cloneFactory(agent)})
 
 	rng := rand.New(rand.NewSource(4))
 	jobs := workload.Batch(rng, 4)
-	res := sim.New(sim.SparkDefaults(6), jobs, &RemoteScheduler{Client: cli}, rng).Run()
+	ss := &SessionScheduler{Client: cli}
+	defer ss.Close()
+	res := sim.New(sim.SparkDefaults(6), jobs, ss, rng).Run()
 	if res.Deadlock || res.Unfinished != 0 {
 		t.Fatalf("remote agent failed: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
 	}
@@ -79,7 +73,21 @@ func TestStateRoundTrip(t *testing.T) {
 	if captured == nil {
 		t.Fatal("no state captured")
 	}
-	back := StateFromRequest(RequestFromState(captured))
+	// Ship the state as a fresh session's first event — every job in full
+	// wire form (jobInfo), materialised server-side by jobStateFromInfo —
+	// and capture the state the server's scheduler is handed. MoveDelay
+	// rides on the Open request, so the session starts with it.
+	var back *sim.State
+	sess := &session{
+		sched:     scheduler.Func(func(s *sim.State) (*sim.Action, error) { back = s; return nil, nil }),
+		moveDelay: captured.MoveDelay,
+		jobs:      make(map[int]*sim.JobState),
+		execs:     make(map[int]*sim.Executor),
+	}
+	client := &Session{shadow: make(map[int]*shadowJob)}
+	if _, err := sess.event(client.delta(captured), time.Time{}); err != nil {
+		t.Fatal(err)
+	}
 	if back.Time != captured.Time || back.JobSeconds != captured.JobSeconds ||
 		back.TotalExecutors != captured.TotalExecutors || back.MoveDelay != captured.MoveDelay {
 		t.Fatal("scalar state fields lost")
@@ -135,15 +143,13 @@ func jobInState(s *sim.State, j *sim.JobState) bool {
 func TestActionFromResponseErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	jobs := workload.Batch(rng, 1)
-	st := StateFromRequest(&ScheduleRequest{
-		TotalExecutors: 2,
-		Jobs: []JobInfo{{
-			ID: jobs[0].ID,
-			Stages: []StageInfo{{
-				ID: 0, NumTasks: 1, TaskDuration: 1, CPUReq: 1,
-			}},
+	js := jobStateFromInfo(&JobInfo{
+		ID: jobs[0].ID,
+		Stages: []StageInfo{{
+			ID: 0, NumTasks: 1, TaskDuration: 1, CPUReq: 1,
 		}},
 	})
+	st := &sim.State{TotalExecutors: 2, Jobs: []*sim.JobState{js}}
 	if _, err := ActionFromResponse(&ScheduleResponse{HasAction: true, JobID: 999, StageID: 0}, st); err == nil {
 		t.Fatal("unknown job accepted")
 	}
@@ -156,8 +162,10 @@ func TestActionFromResponseErrors(t *testing.T) {
 	}
 }
 
+// TestConcurrentClients drives several full runs at once, each over its own
+// connection and session, and requires every run to complete.
 func TestConcurrentClients(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", sched.NewFIFO())
+	srv, err := ListenAndServeSessions("127.0.0.1:0", SessionConfig{Default: "fifo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,25 +182,30 @@ func TestConcurrentClients(t *testing.T) {
 				return
 			}
 			defer cli.Close()
+			var rpcErr error
+			ss := &SessionScheduler{Client: cli, OnError: func(e error) { rpcErr = e }}
+			defer ss.Close()
 			rng := rand.New(rand.NewSource(seed))
 			jobs := workload.Batch(rng, 3)
-			res := sim.New(sim.SparkDefaults(4), jobs, &RemoteScheduler{Client: cli}, rng).Run()
-			if res.Unfinished != 0 {
-				errs <- err
+			res := sim.New(sim.SparkDefaults(4), jobs, ss, rng).Run()
+			if rpcErr != nil {
+				errs <- fmt.Errorf("seed %d: %w", seed, rpcErr)
+				return
+			}
+			if res.Unfinished != 0 || res.Deadlock {
+				errs <- fmt.Errorf("seed %d: unfinished=%d deadlock=%v", seed, res.Unfinished, res.Deadlock)
 			}
 		}(int64(c))
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
 	}
 }
 
 func TestRemoteSchedulerErrorHandling(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", sched.NewFIFO())
+	srv, err := ListenAndServeSessions("127.0.0.1:0", SessionConfig{Default: "fifo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +216,12 @@ func TestRemoteSchedulerErrorHandling(t *testing.T) {
 	srv.Close()
 	cli.Close()
 	var got error
-	rs := &RemoteScheduler{Client: cli, OnError: func(e error) { got = e }}
+	// One attempt per event and no fallback: with the service gone every
+	// event fails, reaches OnError and declines.
+	ss := &SessionScheduler{Client: cli, MaxRetries: -1, OnError: func(e error) { got = e }}
 	rng := rand.New(rand.NewSource(7))
 	jobs := workload.Batch(rng, 1)
-	res := sim.New(sim.SparkDefaults(2), jobs, rs, rng).Run()
+	res := sim.New(sim.SparkDefaults(2), jobs, ss, rng).Run()
 	if got == nil {
 		t.Fatal("error callback never fired")
 	}
@@ -215,9 +230,26 @@ func TestRemoteSchedulerErrorHandling(t *testing.T) {
 	}
 }
 
+// TestServerCloseIdempotent closes a server that has served a session twice,
+// and requires every goroutine the server and its connection started to
+// exit: the goroutine count returns to its value before the listener
+// started.
 func TestServerCloseIdempotent(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", sched.NewFIFO())
+	before := runtime.NumGoroutine()
+	srv, err := ListenAndServeSessions("127.0.0.1:0", SessionConfig{Default: "fifo"})
 	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := &SessionScheduler{Client: cli}
+	rng := rand.New(rand.NewSource(8))
+	if res := sim.New(sim.SparkDefaults(2), workload.Batch(rng, 2), ss, rng).Run(); res.Unfinished != 0 {
+		t.Fatalf("run before close incomplete: unfinished=%d", res.Unfinished)
+	}
+	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -225,5 +257,15 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+	cli.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked after Close: %d running, %d before the listener started\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -18,8 +18,8 @@ type SessionConfig struct {
 	// Default names the registry scheduler used when OpenRequest.Scheduler
 	// is empty. Ignored when New is set and handles the empty name itself.
 	Default string
-	// New mints one fresh scheduler per session (and per stateless shim
-	// request). name is the client-requested registry name after defaulting;
+	// New mints one fresh scheduler per session. name is the
+	// client-requested registry name after defaulting;
 	// seed is the client's session seed. Nil falls back to
 	// scheduler.New(name, scheduler.Options{Seed: seed}).
 	New func(name string, seed int64) (scheduler.Scheduler, error)
@@ -61,23 +61,11 @@ const DefaultIdleTimeout = 5 * time.Minute
 
 // Decima is the RPC service object. Method signatures follow net/rpc
 // conventions; clients call "Decima.Open" / "Decima.Event" /
-// "Decima.Close" (the session protocol) or "Decima.Schedule" (the
-// stateless compatibility shim).
+// "Decima.Close".
 type Decima struct {
 	factory func(name string, seed int64) (scheduler.Scheduler, error)
-	// shared + sharedMu back the legacy single-instance mode, where every
-	// session (and every stateless request) decides on the one scheduler
-	// the server was built around.
-	shared   scheduler.Scheduler
-	sharedMu sync.Mutex
-	defName  string
-	// shim + shimMu back the stateless v1 endpoint in factory mode: one
-	// lazily built default scheduler shared (serialised) across stateless
-	// requests, so the shim costs one decision per request — not one
-	// scheduler construction (for decima, a full parameter copy) each time.
-	shim   scheduler.Scheduler
-	shimMu sync.Mutex
-	tbl    *sessionTable
+	defName string
+	tbl     *sessionTable
 	// replicaID names this instance in Open replies (see SessionConfig).
 	replicaID string
 	// maxInflight, when positive, bounds admitted Events; the gate compares
@@ -95,15 +83,6 @@ type Decima struct {
 	modelName    string
 	modelVersion int
 	stats        ServerStats
-}
-
-// NewDecima wraps one scheduler instance as the service object: all
-// sessions and stateless requests share it, serialised by an internal
-// mutex. Prefer NewDecimaSessions for serving at concurrency.
-func NewDecima(s sim.Scheduler) *Decima {
-	d := &Decima{shared: scheduler.FromSim(s)}
-	d.tbl = newSessionTable(DefaultMaxSessions, DefaultIdleTimeout, &d.stats)
-	return d
 }
 
 // NewDecimaSessions builds the service object for per-session scheduler
@@ -139,21 +118,15 @@ func NewDecimaSessions(cfg SessionConfig) *Decima {
 	return d
 }
 
-// newScheduler mints the scheduler for one session (or one stateless
-// request). In legacy mode it returns the shared instance plus the mutex
-// serialising decisions on it.
-func (d *Decima) newScheduler(name string, seed int64) (scheduler.Scheduler, *sync.Mutex, error) {
-	if d.shared != nil {
-		return d.shared, &d.sharedMu, nil
-	}
+// newScheduler mints the scheduler for one session.
+func (d *Decima) newScheduler(name string, seed int64) (scheduler.Scheduler, error) {
 	if name == "" {
 		name = d.defName
 	}
 	if name == "" {
-		return nil, nil, fmt.Errorf("rpcsvc: no scheduler named in request and no server default")
+		return nil, fmt.Errorf("rpcsvc: no scheduler named in request and no server default")
 	}
-	s, err := d.factory(name, seed)
-	return s, nil, err
+	return d.factory(name, seed)
 }
 
 // Open is the session-protocol entry point: it establishes a server-side
@@ -173,7 +146,7 @@ func (d *Decima) Open(req *OpenRequest, resp *OpenResponse) error {
 		return fmt.Errorf("rpcsvc: replica %q: admission queue full: %w", d.replicaID, ErrOverloaded)
 	}
 	arrival := time.Now()
-	sched, decideMu, err := d.newScheduler(req.Scheduler, req.Seed)
+	sched, err := d.newScheduler(req.Scheduler, req.Seed)
 	if err != nil {
 		return err
 	}
@@ -186,7 +159,6 @@ func (d *Decima) Open(req *OpenRequest, resp *OpenResponse) error {
 	}
 	sess := &session{
 		sched:     sched,
-		decideMu:  decideMu,
 		stats:     &d.stats,
 		total:     req.TotalExecutors,
 		moveDelay: req.MoveDelay,
@@ -197,7 +169,7 @@ func (d *Decima) Open(req *OpenRequest, resp *OpenResponse) error {
 		// Recording rides the agent's fast-path Record hook; non-agent
 		// schedulers (fifo, fair) have no trajectory to record and the flag
 		// is silently ignored — as it is on servers with no sink at all.
-		if ag, ok := sched.(*core.Agent); ok && decideMu == nil {
+		if ag, ok := sched.(*core.Agent); ok {
 			rec := &recorder{max: d.recordMax}
 			ag.Record = rec.record
 			sess.rec = rec
@@ -258,48 +230,6 @@ func (d *Decima) Close(req *CloseRequest, resp *CloseResponse) error {
 	return nil
 }
 
-// Schedule is the stateless v1 entry point, kept as a compatibility shim:
-// the full snapshot becomes an ephemeral one-event session (fresh scheduler,
-// fresh mirror, immediately discarded), so both protocols decide through
-// exactly the same code path. Ephemeral sessions never enter the session
-// table — stateless traffic cannot evict long-lived sessions.
-//
-// Because the state is rebuilt from the wire each request, nothing persists
-// between calls on this path (in particular no embedding-cache hits); the
-// session protocol exists precisely to lift that.
-func (d *Decima) Schedule(req *ScheduleRequest, resp *ScheduleResponse) error {
-	sched, decideMu, err := d.shimScheduler()
-	if err != nil {
-		return err
-	}
-	sess := &session{
-		sched:     sched,
-		decideMu:  decideMu,
-		stats:     &d.stats,
-		total:     req.TotalExecutors,
-		moveDelay: req.MoveDelay,
-		jobs:      make(map[int]*sim.JobState),
-		execs:     make(map[int]*sim.Executor),
-	}
-	ev := &EventRequest{
-		Seq:           1,
-		Time:          req.Time,
-		JobSeconds:    req.JobSeconds,
-		NewJobs:       req.Jobs,
-		FreeExecutors: req.FreeExecutors,
-	}
-	for i := range req.Jobs {
-		ev.Order = append(ev.Order, req.Jobs[i].ID)
-	}
-	r, err := sess.event(ev, time.Time{})
-	if err != nil {
-		return err
-	}
-	d.stats.Stateless.Add(1)
-	*resp = *r
-	return nil
-}
-
 // SetDraining switches the service in or out of drain mode: while draining,
 // Open is rejected with ErrReplicaDraining and health reports report it, but
 // existing sessions keep serving so they can be migrated or closed cleanly.
@@ -321,25 +251,6 @@ func (d *Decima) Stats() StatsSnapshot {
 	return s
 }
 
-// shimScheduler returns the scheduler backing the stateless endpoint: the
-// legacy shared instance, or (in factory mode) one default-policy instance
-// built on first use and reused — serialised by shimMu either way.
-func (d *Decima) shimScheduler() (scheduler.Scheduler, *sync.Mutex, error) {
-	if d.shared != nil {
-		return d.shared, &d.sharedMu, nil
-	}
-	d.shimMu.Lock()
-	defer d.shimMu.Unlock()
-	if d.shim == nil {
-		s, _, err := d.newScheduler("", 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		d.shim = s
-	}
-	return d.shim, &d.shimMu, nil
-}
-
 // resetAll resets evicted sessions outside the table lock.
 func resetAll(ss []*session) {
 	for _, s := range ss {
@@ -359,28 +270,17 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 }
 
-// ListenAndServe starts serving the given scheduler on addr (e.g.
-// "127.0.0.1:0") and returns immediately; connections are handled on
-// background goroutines until Close. Every session and stateless request
-// shares the one scheduler instance, serialised by an internal mutex — the
-// legacy single-agent deployment. Use ListenAndServeSessions for
-// per-session scheduler instances.
-func ListenAndServe(addr string, sched sim.Scheduler) (*Server, error) {
-	return listen(addr, NewDecima(sched))
-}
-
-// ListenAndServeSessions starts a session-serving scheduling service:
-// every session gets its own scheduler instance from cfg.New (or the
-// scheduler registry), so sessions decide concurrently.
+// ListenAndServeSessions starts a session-serving scheduling service on
+// addr (e.g. "127.0.0.1:0") and returns immediately; connections are
+// handled on background goroutines until Close. Every session gets its own
+// scheduler instance from cfg.New (or the scheduler registry), so sessions
+// decide concurrently.
 func ListenAndServeSessions(addr string, cfg SessionConfig) (*Server, error) {
-	return listen(addr, NewDecimaSessions(cfg))
-}
-
-func listen(addr string, svc *Decima) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	svc := NewDecimaSessions(cfg)
 	rpcS := rpc.NewServer()
 	if err := rpcS.RegisterName("Decima", svc); err != nil {
 		lis.Close()

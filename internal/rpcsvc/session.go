@@ -19,9 +19,6 @@ type session struct {
 	mu    sync.Mutex
 	id    uint64
 	sched scheduler.Scheduler
-	// decideMu, when non-nil, serialises Decide across sessions sharing one
-	// scheduler instance (the legacy single-scheduler server).
-	decideMu *sync.Mutex
 	// stats, when non-nil, receives per-decision latency observations.
 	stats *ServerStats
 
@@ -42,8 +39,7 @@ type session struct {
 // event applies one delta to the mirror and asks the scheduler for the next
 // action. It holds the session lock for the whole apply+decide so
 // concurrent events on one session serialise; events on different sessions
-// run in parallel (unless they share a scheduler via decideMu). The decision
-// runs on the calling handler's goroutine.
+// run in parallel. The decision runs on the calling handler's goroutine.
 //
 // The request is validated in full before anything mutates — a rejected
 // event leaves the mirror (and seq) exactly as the client's shadow has it,
@@ -140,10 +136,6 @@ func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleRespons
 		state.FreeExecutors = append(state.FreeExecutors, e)
 	}
 
-	if s.decideMu != nil {
-		s.decideMu.Lock()
-		defer s.decideMu.Unlock()
-	}
 	start := time.Now()
 	act, err := s.sched.Decide(state)
 	if err != nil {
@@ -211,10 +203,6 @@ func (s *session) reset() {
 			s.sink(steps)
 		}
 		s.rec, s.sink = nil, nil
-	}
-	if s.decideMu != nil {
-		s.decideMu.Lock()
-		defer s.decideMu.Unlock()
 	}
 	s.sched.Reset()
 }

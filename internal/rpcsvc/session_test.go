@@ -14,8 +14,8 @@ import (
 )
 
 // agentFactory mints bit-identical greedy agents (same seed, same
-// construction) so in-process, stateless and session paths all decide with
-// the same parameters.
+// construction) so in-process and session paths decide with the same
+// parameters.
 func agentFactory(executors int) func(name string, seed int64) (scheduler.Scheduler, error) {
 	return func(name string, seed int64) (scheduler.Scheduler, error) {
 		a := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(77)))
@@ -45,12 +45,13 @@ func runKey(r *sim.Result) string {
 	return fmt.Sprintf("%v/%v/%v/%d/%d", r.AvgJCT(), r.Makespan, r.JobSeconds, r.Invocations, len(r.Completed))
 }
 
-// TestSessionBitIdenticalToStatelessAndLocal extends PR 2's equivalence bar
-// to the wire: over a full noisy run, the decisions produced through the
+// TestSessionBitIdenticalToStatelessAndLocal extends the inference fast
+// path's equivalence bar to the wire: over a full noisy run, the decisions produced through the
 // session protocol (server-side mirror, embedding cache ON) are
-// bit-identical to the stateless protocol (state rebuilt per request) and
-// to the in-process agent — any divergence anywhere in the event stream
-// would shift the noise draws and change every downstream number.
+// bit-identical to the in-process agent — any divergence anywhere in the
+// event stream would shift the noise draws and change every downstream
+// number. (The name predates the removal of the stateless protocol, whose
+// leg this test also used to check.)
 func TestSessionBitIdenticalToStatelessAndLocal(t *testing.T) {
 	const executors = 8
 	cfg := sim.SparkDefaults(executors) // DurationNoise > 0: noisy run
@@ -65,17 +66,12 @@ func TestSessionBitIdenticalToStatelessAndLocal(t *testing.T) {
 	}
 	ref := sim.New(cfg, workload.CloneAll(jobs), scheduler.Sim(local), rand.New(rand.NewSource(9))).Run()
 
-	stateless := sim.New(cfg, workload.CloneAll(jobs), &RemoteScheduler{Client: cli}, rand.New(rand.NewSource(9))).Run()
-
 	ss := &SessionScheduler{Client: cli}
 	session := sim.New(cfg, workload.CloneAll(jobs), ss, rand.New(rand.NewSource(9))).Run()
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if runKey(ref) != runKey(stateless) {
-		t.Fatalf("stateless diverges from in-process:\n  local   %s\n  remote  %s", runKey(ref), runKey(stateless))
-	}
 	if runKey(ref) != runKey(session) {
 		t.Fatalf("session diverges from in-process:\n  local   %s\n  session %s", runKey(ref), runKey(session))
 	}
